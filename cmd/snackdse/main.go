@@ -10,10 +10,10 @@
 //	snackdse -grid buf=1,2,4:chan=16,32:vc=2,4:rcu=16 -j 4
 //	snackdse -kernels SGEMM,MAC -dims smoke -out results/dse.txt
 //
-// The rendered report is byte-identical for any -j and -shards value
-// and whether or not platforms are pool-recycled (-pool-depth -1
-// disables the pool); wall-clock throughput (cells/second, pool
-// hit/miss traffic) goes to stderr only.
+// The rendered report is byte-identical for any -j value and whether
+// or not platforms are pool-recycled (-pool-depth -1 disables the
+// pool); wall-clock throughput (cells/second, pool hit/miss traffic)
+// goes to stderr only.
 package main
 
 import (
@@ -35,14 +35,12 @@ func main() {
 	dims := flag.String("dims", "default", "kernel input sizes: default, paper, or smoke")
 	priority := flag.Bool("priority", true, "priority arbitration on every cell")
 	jobs := flag.Int("j", 0, "parallel cell workers (0 = all CPUs, 1 = serial)")
-	shards := flag.Int("shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
 	poolDepth := flag.Int("pool-depth", 0, "idle pooled platforms kept per shape (0 = one per worker, -1 = disable pooling)")
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	metricsPath := flag.String("metrics", "", "write metrics snapshots (incl. pool gauges) to this file (.csv for CSV)")
 	attribOn := flag.Bool("attrib", false, "attach cycle-attribution counters and add a per-cell bottleneck verdict column")
 	flag.Parse()
 	experiments.SetWorkers(*jobs)
-	experiments.SetShards(*shards)
 
 	cfg := experiments.DefaultDSEConfig()
 	cfg.Priority = *priority

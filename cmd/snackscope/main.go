@@ -6,8 +6,8 @@
 //	snackscope -kernel SGEMM -mesh 4x4        # run a kernel live and report it
 //
 // The report is a pure function of the counters, so for a fixed kernel,
-// mesh, and dims the output is byte-identical across runs, -shards
-// values, and machines — scripts/ci.sh pins a golden copy.
+// mesh, and dims the output is byte-identical across runs and
+// machines — scripts/ci.sh pins a golden copy.
 package main
 
 import (
@@ -30,7 +30,6 @@ func main() {
 	mesh := flag.String("mesh", "4x4", "mesh dimensions WxH for -kernel")
 	dims := flag.String("dims", "default", "kernel input sizes for -kernel: default, paper, or smoke")
 	priority := flag.Bool("priority", true, "priority arbitration for -kernel")
-	shards := flag.Int("shards", 0, "simulation-kernel shards (<=1 = serial; the report is identical for any value)")
 	flag.Parse()
 	switch {
 	case *metricsPath != "" && *kernel != "":
@@ -38,7 +37,6 @@ func main() {
 	case *metricsPath != "":
 		fromJSON(*metricsPath)
 	case *kernel != "":
-		experiments.SetShards(*shards)
 		fromKernel(*kernel, *mesh, *dims, *priority)
 	default:
 		flag.Usage()
@@ -104,9 +102,7 @@ func fromKernel(name, meshSpec, dimsName string, priority bool) {
 		fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = experiments.Shards()
-	plat, err := core.NewStandalone(eng, w, h, priority, pc)
+	plat, err := core.NewStandalone(eng, w, h, priority, core.DefaultPlatformConfig())
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -36,11 +36,10 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "benchmark instruction-budget scale")
 	priority := flag.Bool("priority", true, "priority arbitration (snack runs)")
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	shards := flag.Int("shards", 0, "simulation-kernel shards per mesh (<=1 = serial; results are identical for any value)")
 	warm := flag.Bool("warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output; ignored while -trace/-metrics are active)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (shard-barrier waits)")
+	blockprofile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (sweep-worker and pool waits)")
 	mutexprofile := flag.String("mutexprofile", "", "write a pprof contended-mutex profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the simulation to this file")
 	traceLast := flag.Int("trace-last", 0, "with -trace, keep only the newest N events per simulation")
@@ -49,7 +48,6 @@ func main() {
 	attribInterval := flag.Int64("attrib-interval", 0, "with -attrib, sample windowed per-reason deltas every N cycles (exported as attrib.series.* and as trace counter tracks)")
 	flag.Parse()
 	experiments.SetWorkers(*jobs)
-	experiments.SetShards(*shards)
 	experiments.SetWarmSweeps(*warm)
 	if *traceLast > 0 && *tracePath == "" {
 		fatalf("-trace-last requires -trace")
@@ -168,9 +166,7 @@ func runKernel(name string, w, h int, priority bool) {
 		fatalf("compile: %v", err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = experiments.Shards()
-	plat, err := core.NewStandalone(eng, w, h, priority, pc)
+	plat, err := core.NewStandalone(eng, w, h, priority, core.DefaultPlatformConfig())
 	if err != nil {
 		fatalf("%v", err)
 	}

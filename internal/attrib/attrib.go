@@ -31,8 +31,7 @@ type Kind uint8
 // "MSHR full" stall to count; instead the layer records allocation
 // volume, an occupancy-weighted miss-outstanding integral, and the
 // high-water mark). Engine counters are per-step component-evaluation
-// volume — a deterministic load proxy per shard; wall-clock barrier
-// wait is nondeterministic and is measured with -blockprofile instead.
+// volume — a deterministic load proxy for the simulation kernel.
 const (
 	KindRouter Kind = iota
 	KindNI
@@ -226,11 +225,8 @@ func (c *Counters) Restore(s CountersState) {
 	c.n = s.N
 }
 
-// Recorder owns the Counters of one run (or one sweep/DSE cell). It is
-// attached single-threaded at platform build time; under a sharded
-// engine each Counters is written only by its owner component's shard
-// goroutine, and the shard barrier orders those writes before any
-// root-side read, so the recorder needs no locks.
+// Recorder owns the Counters of one run (or one sweep/DSE cell). A run
+// uses it from one goroutine at a time, so it needs no locks.
 type Recorder struct {
 	comps   []*Counters
 	sampler *Sampler
@@ -261,8 +257,7 @@ func (rec *Recorder) Components() []*Counters {
 
 // Fold flattens every counter into metric-style keys
 // ("<label>.attrib.<layer>.<reason>"), the shape Summarize consumes.
-// Reading it is only safe once the engine is settled (between runs, or
-// after the shard barrier).
+// Reading it is only safe once the engine is settled (between runs).
 func (rec *Recorder) Fold() map[string]float64 {
 	if rec == nil {
 		return nil

@@ -11,11 +11,9 @@ import (
 // counter tracks so phase behavior is visible on the timeline.
 //
 // It satisfies sim.Component structurally (this package must not import
-// sim) and is registered on the ROOT engine only: under a sharded mesh
-// the shard barrier has already ordered every shard-side counter write
-// before root components evaluate, so the reads here are race-free. It
-// never implements Quiescer — staying on the active list costs one
-// modulus per cycle and keeps window boundaries exact.
+// sim) and is registered on the run's engine. It never implements
+// Quiescer — staying on the active list costs one modulus per cycle and
+// keeps window boundaries exact.
 //
 // Before reading, the sampler settles the engine so sleeping
 // components' idle cycles are replayed into their counters. A sleeping
@@ -37,7 +35,7 @@ type Sampler struct {
 
 // StartSampling attaches a window sampler to the recorder. Call it
 // after every component has been attached (the reason set is frozen
-// here), register the returned component on the root engine, and pass
+// here), register the returned component on the engine, and pass
 // the run's settle hook (typically the engine's Settle). A nil recorder
 // or non-positive interval returns nil. tr may be nil (no counter
 // tracks).

@@ -36,12 +36,9 @@ type retryReq struct {
 // controller resolves hits locally after L1HitLat cycles and misses via
 // the block's home L2 bank over the NoC.
 type L1 struct {
-	sys  *System
-	node int
-	// eng is the engine of the shard this node lives on; all L1 events
-	// must be scheduled here so sharded runs never touch the root wheel
-	// from a shard goroutine.
-	eng   *sim.Engine
+	sys   *System
+	node  int
+	eng   *sim.Engine // the System's engine, cached for the event paths
 	cache *Cache
 	pool  *msgPool
 
@@ -69,13 +66,12 @@ type L1 struct {
 }
 
 func newL1(sys *System, node int) *L1 {
-	eng := sys.Net.EngFor(noc.NodeID(node))
 	l := &L1{
 		sys:      sys,
 		node:     node,
-		eng:      eng,
+		eng:      sys.Eng,
 		cache:    NewCache(sys.cfg.L1Bytes, sys.cfg.L1Ways),
-		pool:     sys.poolFor(eng),
+		pool:     &sys.pool,
 		mshrFree: -1,
 	}
 	for i := range l.mshrHead {

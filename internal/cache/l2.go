@@ -34,11 +34,9 @@ type l2txn struct {
 // L2Bank is one slice of the shared distributed L2 plus the directory for
 // the blocks homed at this node.
 type L2Bank struct {
-	sys  *System
-	node noc.NodeID
-	// eng is the shard engine of the bank's node; lookup-latency events
-	// are scheduled here so sharded runs stay race-free.
-	eng   *sim.Engine
+	sys   *System
+	node  noc.NodeID
+	eng   *sim.Engine // the System's engine, cached for the event paths
 	cache *Cache
 	pool  *msgPool
 
@@ -56,13 +54,12 @@ type L2Bank struct {
 }
 
 func newL2Bank(sys *System, node noc.NodeID) *L2Bank {
-	eng := sys.Net.EngFor(node)
 	return &L2Bank{
 		sys:   sys,
 		node:  node,
-		eng:   eng,
+		eng:   sys.Eng,
 		cache: NewCache(sys.cfg.L2BankBytes, sys.cfg.L2Ways),
-		pool:  sys.poolFor(eng),
+		pool:  &sys.pool,
 	}
 }
 

@@ -17,8 +17,7 @@ type MemNode struct {
 }
 
 func newMemNode(sys *System, node noc.NodeID, ctrl *mem.Controller) *MemNode {
-	return &MemNode{sys: sys, node: node, ctrl: ctrl,
-		pool: sys.poolFor(sys.Net.EngFor(node))}
+	return &MemNode{sys: sys, node: node, ctrl: ctrl, pool: &sys.pool}
 }
 
 // Controller returns the underlying DRAM model (shared with a co-located

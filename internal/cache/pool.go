@@ -1,13 +1,9 @@
 package cache
 
-// msgPool recycles protocol messages for the controllers of one shard
-// engine. Pools are engine-local on purpose: every controller schedules
-// and handles on its node's shard engine, so a pool is only ever touched
-// by that engine's goroutine and needs no locking (the same rule the noc
-// flit pools and core token pools follow). Messages migrate between
-// pools — an L1 at one shard allocates a GetS that the home L2 at
-// another shard eventually frees — which is safe because a message is
-// owned by exactly one controller at a time.
+// msgPool recycles protocol messages for every controller of one cache
+// System. A simulation runs on one goroutine at a time, so the free list
+// needs no locking (the same rule the noc flit pool and core token pool
+// follow).
 //
 // Ownership: a message is pool-owned from get until its consumer frees
 // it — GetS/GetX when their transaction completes at the home bank,

@@ -40,11 +40,8 @@ func DefaultSystemConfig() SystemConfig {
 
 // System wires L1s, L2 banks and memory nodes onto a NoC: one L1 and one
 // L2 bank per node, memory controllers at the configured nodes, and one
-// Hub per node registered as the NoC client.
-//
-// Eng is the root engine driving the whole simulation. Each node-resident
-// controller schedules its events on the engine of the node's shard
-// (Net.EngFor), which is Eng itself when the network is unsharded.
+// Hub per node registered as the NoC client. Every controller schedules
+// its events on Eng, the engine driving the whole simulation.
 type System struct {
 	Eng *sim.Engine
 	Net *noc.Network
@@ -57,32 +54,19 @@ type System struct {
 
 	memNodes []noc.NodeID
 
-	// pools holds one protocol-message free list per shard engine; every
-	// controller allocates and frees through the pool of the engine it
-	// runs on, so no pool is ever shared between goroutines.
-	pools map[*sim.Engine]*msgPool
-}
-
-// poolFor returns the message pool of one shard engine, creating it on
-// first use.
-func (s *System) poolFor(eng *sim.Engine) *msgPool {
-	if p, ok := s.pools[eng]; ok {
-		return p
-	}
-	p := &msgPool{}
-	s.pools[eng] = p
-	return p
+	// pool is the protocol-message free list every controller allocates
+	// from and frees to.
+	pool msgPool
 }
 
 // NewSystem builds the hierarchy on an existing network.
 func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, error) {
 	nodes := net.Cfg().Nodes()
 	s := &System{
-		Eng:   eng,
-		Net:   net,
-		cfg:   cfg,
-		Mems:  make(map[noc.NodeID]*MemNode),
-		pools: make(map[*sim.Engine]*msgPool),
+		Eng:  eng,
+		Net:  net,
+		cfg:  cfg,
+		Mems: make(map[noc.NodeID]*MemNode),
 	}
 	s.memNodes = cfg.MemNodes
 	if len(s.memNodes) == 0 {
@@ -109,7 +93,7 @@ func NewSystem(eng *sim.Engine, net *noc.Network, cfg SystemConfig) (*System, er
 		s.Hubs[i] = &Hub{L1: s.L1s[i], L2: s.L2s[i]}
 	}
 	for _, mn := range s.memNodes {
-		ctrl, err := mem.New(net.EngFor(mn), cfg.MemCfg)
+		ctrl, err := mem.New(eng, cfg.MemCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -30,16 +30,14 @@ type coRunSim struct {
 	lastResult *core.Result
 }
 
-func buildCoRun(t testing.TB, shards int) *coRunSim {
-	return buildCoRunProf(t, shards, traffic.Scale(traffic.LULESH(), 0.05))
+func buildCoRun(t testing.TB) *coRunSim {
+	return buildCoRunProf(t, traffic.Scale(traffic.LULESH(), 0.05))
 }
 
-func buildCoRunProf(t testing.TB, shards int, prof *traffic.Profile) *coRunSim {
+func buildCoRunProf(t testing.TB, prof *traffic.Profile) *coRunSim {
 	t.Helper()
-	cfg := noc.SnackPlatform(4, 4, true)
-	cfg.Shards = shards
 	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+	net, err := noc.New(eng, noc.SnackPlatform(4, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,46 +119,44 @@ func TestForkDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fork determinism runs a co-run leg to completion three times")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := buildCoRun(t, shards)
-			s.eng.Run(4096)
-			if !s.plat.CPM.Busy() {
-				t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
-			}
-			st := checkpoint.Take(s.target())
-			if st.Cycle() != 4096 {
-				t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
-			}
+	t.Run("co-run", func(t *testing.T) {
+		s := buildCoRun(t)
+		s.eng.Run(4096)
+		if !s.plat.CPM.Busy() {
+			t.Fatal("kernel not in flight at the snapshot point; the test would not cover token state")
+		}
+		st := checkpoint.Take(s.target())
+		if st.Cycle() != 4096 {
+			t.Fatalf("snapshot cycle %d, want 4096", st.Cycle())
+		}
 
-			want := s.runToEnd(t)
+		want := s.runToEnd(t)
 
-			// Fork 1: plain restore.
-			st.Restore()
-			s.kernelRuns, s.lastResult = 0, nil
-			if got := s.runToEnd(t); got != want {
-				t.Error("first fork diverged from the original run")
-			}
+		// Fork 1: plain restore.
+		st.Restore()
+		s.kernelRuns, s.lastResult = 0, nil
+		if got := s.runToEnd(t); got != want {
+			t.Error("first fork diverged from the original run")
+		}
 
-			// Fork 2: restore, run partway, restore again from the same
-			// state, then complete — the snapshot must be unscathed by
-			// earlier forks.
-			st.Restore()
-			s.eng.Run(3000)
-			st.Restore()
-			s.kernelRuns, s.lastResult = 0, nil
-			if got := s.runToEnd(t); got != want {
-				t.Error("fork after a partial run diverged from the original run")
-			}
-		})
-	}
+		// Fork 2: restore, run partway, restore again from the same
+		// state, then complete — the snapshot must be unscathed by
+		// earlier forks.
+		st.Restore()
+		s.eng.Run(3000)
+		st.Restore()
+		s.kernelRuns, s.lastResult = 0, nil
+		if got := s.runToEnd(t); got != want {
+			t.Error("fork after a partial run diverged from the original run")
+		}
+	})
 
 	// Cache-heavy leg: a miss-dominated workload keeps the MSHR files,
 	// the home banks' transaction slots (recalls, invalidations, pending
 	// queues) and the pooled-message paths densely populated at the
 	// snapshot point, so a fork replays token AND protocol state.
 	t.Run("cache-heavy", func(t *testing.T) {
-		s := buildCoRunProf(t, 2, traffic.Scale(traffic.Graph500(), 0.2))
+		s := buildCoRunProf(t, traffic.Scale(traffic.Graph500(), 0.2))
 		s.eng.Run(4096)
 		if !s.plat.CPM.Busy() {
 			t.Fatal("kernel not in flight at the snapshot point")

@@ -158,8 +158,8 @@ func NewCPM(cfg CPMConfig, net *noc.Network, ctrl *mem.Controller) *CPM {
 // SetPort installs the router injection port; the Platform wires it.
 func (c *CPM) SetPort(p *noc.InjectPort) { c.port = p }
 
-// SetPool installs the engine-local token pool; the Platform wires one
-// per shard. A nil pool (direct NewCPM construction) allocates.
+// SetPool installs the platform's token pool. A nil pool (direct NewCPM
+// construction) allocates.
 func (c *CPM) SetPool(p *TokenPool) { c.pool = p }
 
 // Name implements sim.Component.

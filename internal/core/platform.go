@@ -61,11 +61,6 @@ type PlatformConfig struct {
 	// Command-buffer streaming runs near full channel bandwidth, so
 	// sharing is an ablation, not the default.
 	ShareMemChannel bool
-	// Shards partitions the standalone mesh into that many column-slice
-	// sub-engines (noc.Config.Shards); 0 or 1 keeps the serial kernel.
-	// Only NewStandalone consults it — Attach/AttachToSystem run on
-	// whatever network the caller built.
-	Shards int
 }
 
 // DefaultPlatformConfig places the CPM at node 0 (a corner
@@ -105,19 +100,13 @@ func NewStandalone(eng *sim.Engine, width, height int, priority bool, cfg Platfo
 // NewStandaloneOn is NewStandalone over an explicit mesh configuration
 // (it must carry a snack vnet and compute ports — see
 // noc.SnackPlatformCustom). The DSE driver uses it to sweep router
-// resources; nc is copied before the shard clamp so the caller's
-// configuration survives.
+// resources.
 func NewStandaloneOn(eng *sim.Engine, nc *noc.Config, cfg PlatformConfig) (*Platform, error) {
-	c := *nc
-	c.Shards = cfg.Shards
-	if c.Shards > c.Width {
-		c.Shards = c.Width
-	}
-	net, err := noc.New(eng, &c)
+	net, err := noc.New(eng, nc)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := mem.New(net.EngFor(cfg.CPM.Node), mem.DefaultConfig())
+	ctrl, err := mem.New(eng, mem.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -168,18 +157,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		p.CPMs = append(p.CPMs, cpm)
 	}
 	p.CPM = p.CPMs[0]
-	// One token pool per shard engine: every component schedules token
-	// allocation and release on its own shard's goroutine, so the pools
-	// need no locking (the per-shard flit-pool rule of the sharded NoC).
-	pools := make(map[*sim.Engine]*TokenPool)
-	poolFor := func(e *sim.Engine) *TokenPool {
-		if pl := pools[e]; pl != nil {
-			return pl
-		}
-		pl := NewTokenPool()
-		pools[e] = pl
-		return pl
-	}
+	pool := NewTokenPool()
 	for i := 0; i < nc.Nodes(); i++ {
 		node := noc.NodeID(i)
 		rcu := NewRCU(rcuCfg, node, net.Loop(), p.CPM.Node())
@@ -189,7 +167,7 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 		}
 		port := net.AttachCompute(node, hook)
 		rcu.SetPort(port)
-		rcu.SetPool(poolFor(net.EngFor(node)))
+		rcu.SetPool(pool)
 		if cpm := byNode[node]; cpm != nil {
 			// A CPM shares its router's compute port with the local RCU
 			// (Fig 5): instruction issue enters the crossbar directly
@@ -197,13 +175,11 @@ func attach(eng *sim.Engine, net *noc.Network, rcuCfg RCUConfig, cpms []CPMConfi
 			cpm.SetPort(port)
 		}
 		p.RCUs[i] = rcu
-		// Register on the node's shard engine: an RCU touches its router's
-		// compute port every cycle, which belongs to that shard.
-		net.EngFor(node).Register(rcu)
+		eng.Register(rcu)
 	}
 	for _, cpm := range p.CPMs {
-		cpm.SetPool(poolFor(net.EngFor(cpm.Node())))
-		net.EngFor(cpm.Node()).Register(cpm)
+		cpm.SetPool(pool)
+		eng.Register(cpm)
 	}
 	return p, nil
 }
@@ -225,7 +201,7 @@ func NewStandaloneMulti(eng *sim.Engine, width, height int, priority bool, rcu R
 	ctrls := make([]*mem.Controller, len(nodes))
 	for i, n := range nodes {
 		cfgs[i] = DefaultCPMConfig(n)
-		ctrls[i], err = mem.New(net.EngFor(n), mem.DefaultConfig())
+		ctrls[i], err = mem.New(eng, mem.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +228,7 @@ func AttachToSystem(eng *sim.Engine, sys *cache.System, cfg PlatformConfig) (*Pl
 	ctrl := mn.Controller()
 	if !cfg.ShareMemChannel {
 		var err error
-		ctrl, err = mem.New(sys.Net.EngFor(cfg.CPM.Node), ctrl.Cfg())
+		ctrl, err = mem.New(eng, ctrl.Cfg())
 		if err != nil {
 			return nil, err
 		}
@@ -294,8 +270,8 @@ func (p *Platform) SetTracer(t *trace.Tracer) {
 
 // SetAttrib attaches cycle-attribution counter slabs across the whole
 // platform — every router and NI of the mesh, every RCU, every CPM, and
-// the engine (plus its shard sub-engines). A nil recorder yields nil
-// slabs everywhere, the zero-cost disabled state.
+// the engine. A nil recorder yields nil slabs everywhere, the zero-cost
+// disabled state.
 func (p *Platform) SetAttrib(rec *attrib.Recorder) {
 	p.Net.SetAttrib(rec)
 	for _, r := range p.RCUs {

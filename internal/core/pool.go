@@ -1,9 +1,8 @@
 package core
 
 // TokenPool recycles instruction and data tokens for all compute
-// components driven by one sim.Engine — one shard of the mesh. Pools
-// are engine-local on purpose: shard goroutines never share a pool, so
-// no locking is needed (the same rule PR 6 applied to flit pools).
+// components of one Platform. A simulation runs on one goroutine at a
+// time, so no locking is needed (the same rule the noc flit pool follows).
 //
 // Ownership: a token is pool-owned from Get until the moment it is
 // consumed — an instruction when it completes with every reference

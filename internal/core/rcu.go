@@ -138,8 +138,8 @@ func NewRCU(cfg RCUConfig, node noc.NodeID, loop *noc.LoopRoute, cpmNode noc.Nod
 // SetPort installs the compute-port handle returned by AttachCompute.
 func (r *RCU) SetPort(p *noc.InjectPort) { r.port = p }
 
-// SetPool installs the engine-local token pool; the Platform wires one
-// per shard. A nil pool (direct NewRCU construction) allocates.
+// SetPool installs the platform's token pool. A nil pool (direct NewRCU
+// construction) allocates.
 func (r *RCU) SetPool(p *TokenPool) { r.pool = p }
 
 // Name implements sim.Component.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"snacknoc/internal/cache"
-	"snacknoc/internal/noc"
 	"snacknoc/internal/sim"
 	"snacknoc/internal/traffic"
 )
@@ -150,9 +149,7 @@ type Workload struct {
 }
 
 // NewWorkload creates one core per node of the system, all running the
-// given profile. Each core registers on the engine of the shard its node
-// belongs to — a core drives its private L1 every cycle, so on a sharded
-// network it must evaluate inside that shard's goroutine.
+// given profile, registered on eng.
 func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed uint64) (*Workload, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -161,7 +158,7 @@ func NewWorkload(eng *sim.Engine, sys *cache.System, prof *traffic.Profile, seed
 	w := &Workload{Profile: prof, Cores: make([]*Core, n)}
 	for i := 0; i < n; i++ {
 		w.Cores[i] = NewCore(i, prof, sys.L1s[i], n, seed)
-		sys.Net.EngFor(noc.NodeID(i)).Register(w.Cores[i])
+		eng.Register(w.Cores[i])
 	}
 	return w, nil
 }

@@ -25,7 +25,7 @@ func obsRecorder() *attrib.Recorder {
 }
 
 // startAttribSampling registers the windowed interval sampler on the
-// root engine. Call it after every SetAttrib walk (the sampler freezes
+// run's engine. Call it after every SetAttrib walk (the sampler freezes
 // the attached-reason set) and before the run starts. A nil recorder or
 // a zero interval is a no-op.
 func startAttribSampling(rec *attrib.Recorder, eng *sim.Engine, tr *trace.Tracer) {

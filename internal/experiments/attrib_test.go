@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -150,9 +149,7 @@ func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[s
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	pc := core.DefaultPlatformConfig()
-	pc.Shards = Shards()
-	plat, err := core.NewStandalone(eng, 4, 4, true, pc)
+	plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,20 +162,14 @@ func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[s
 }
 
 // TestAttribSumsToCycles is the acceptance-criteria invariant: every
-// per-cycle component's reasons sum to the total simulated cycles, on
-// both the serial and the sharded kernel.
+// per-cycle component's reasons sum to the total simulated cycles.
 func TestAttribSumsToCycles(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			withShards(t, shards)
-			values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
-			if cycles <= 0 {
-				t.Fatal("no simulated cycles")
-			}
-			if err := attrib.CheckTotals(values, cycles); err != nil {
-				t.Fatal(err)
-			}
-		})
+	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
+	if cycles <= 0 {
+		t.Fatal("no simulated cycles")
+	}
+	if err := attrib.CheckTotals(values, cycles); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -199,37 +190,24 @@ func TestScopeSGEMMGolden(t *testing.T) {
 	compareArtifact(t, "../../results/scope-sgemm.txt", []byte(got))
 }
 
-// attribDigest renders every collected summary, optionally dropping the
-// engine layer (its per-shard split legitimately depends on -shards;
-// everything else must not).
-func attribDigest(t *testing.T, dropEngine bool) string {
+// attribDigest renders every collected summary.
+func attribDigest(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
 	for _, s := range AttribSummaries() {
-		text := s.Summary.RenderString(s.Label)
-		if dropEngine {
-			var kept []string
-			for _, line := range strings.Split(text, "\n") {
-				if strings.Contains(line, "engine") {
-					continue
-				}
-				kept = append(kept, line)
-			}
-			text = strings.Join(kept, "\n")
-		}
-		b.WriteString(text)
+		b.WriteString(s.Summary.RenderString(s.Label))
 	}
 	return b.String()
 }
 
 // TestAttribDeterminismAcrossScheduling pins counter determinism over
-// every execution strategy the sweep runners offer: worker count, warm
-// (checkpoint-forked) vs cold sweeps, and shard count. Warm sweeps fall
-// back to cold while attribution is on (warmActive), so the warm run
-// must match exactly; sharding may only re-split the engine layer.
+// every execution strategy the sweep runners offer: worker count and
+// warm (checkpoint-forked) vs cold sweeps. Warm sweeps fall back to cold
+// while attribution is on (warmActive), so the warm run must match
+// exactly.
 func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a reduced fig12 sweep four times")
+		t.Skip("runs a reduced fig12 sweep three times")
 	}
 	benches := []*traffic.Profile{traffic.LULESH()}
 	kernels := []cpu.KernelName{cpu.KernelMAC}
@@ -246,31 +224,22 @@ func TestAttribDeterminismAcrossScheduling(t *testing.T) {
 
 	SetWorkers(1)
 	sweep(t)
-	want := attribDigest(t, false)
-	wantNoEngine := attribDigest(t, true)
+	want := attribDigest(t)
 	if want == "" {
 		t.Fatal("baseline sweep collected no attribution summaries")
 	}
 
 	SetWorkers(4)
 	sweep(t)
-	if got := attribDigest(t, false); got != want {
+	if got := attribDigest(t); got != want {
 		t.Fatal("-j 4 attribution diverged from -j 1")
 	}
 
 	SetWarmSweeps(true)
 	t.Cleanup(func() { SetWarmSweeps(false) })
 	sweep(t)
-	if got := attribDigest(t, false); got != want {
+	if got := attribDigest(t); got != want {
 		t.Fatal("warm-sweep attribution diverged from cold")
-	}
-	SetWarmSweeps(false)
-
-	SetWorkers(1)
-	withShards(t, 2)
-	sweep(t)
-	if got := attribDigest(t, true); got != wantNoEngine {
-		t.Fatal("-shards 2 attribution diverged outside the engine layer")
 	}
 }
 

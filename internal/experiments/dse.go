@@ -265,7 +265,6 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		legAttrib = make([]map[string]float64, nCells*nK)
 	}
 
-	shards := Shards()
 	err := forEach(nCells*nK, func(item int) error {
 		ci, ki := item/nK, item%nK
 		cell := &res.Cells[ci]
@@ -274,14 +273,14 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		if err != nil {
 			return err
 		}
-		shape := fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/ch%d/pri%v/sh%d",
+		shape := fmt.Sprintf("dse/%s/%dx%d/vc%d/buf%d/ch%d/pri%v",
 			cfg.Topology, cell.Width, cell.Height, cell.VCs, cell.BufDepth,
-			cell.ChanWidth, cfg.Priority, shards)
+			cell.ChanWidth, cfg.Priority)
 		build := func() (*checkpoint.Entry, error) {
 			eng := sim.NewEngine()
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			plat, err := core.NewStandaloneOn(eng, nc, platformCfg())
+			plat, err := core.NewStandaloneOn(eng, nc, core.DefaultPlatformConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -321,7 +320,7 @@ func RunDSE(cfg DSEConfig) (*DSEResult, error) {
 		if ki == 0 {
 			nc := noc.SnackPlatformCustom(cell.Width, cell.Height, cfg.Priority,
 				cell.VCs, cell.BufDepth, cell.ChanWidth)
-			pts, err := noc.LoadLatencyCurve(applyShards(nc), noc.UniformRandom(),
+			pts, err := noc.LoadLatencyCurve(nc, noc.UniformRandom(),
 				[]float64{dseProbeRate}, noc.DataBytes, dseProbeCycles, Seed)
 			if err != nil {
 				return err
@@ -391,7 +390,7 @@ func dominates(a, b *DSECell) bool {
 
 // paretoFrontier returns the indices of the non-dominated cells in
 // ascending order. Membership is a pure function of the cells' scores —
-// evaluation order, worker count, and shard count cannot change it.
+// evaluation order and worker count cannot change it.
 func paretoFrontier(cells []DSECell) []int {
 	var out []int
 	for i := range cells {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"testing"
 
@@ -147,12 +146,10 @@ func TestFig12RegenerationByteIdentical(t *testing.T) {
 
 // TestWarmSweepByteIdentical pins the warm-sweep guarantee: a sweep run
 // with checkpoint-forked baselines, memoized zero-load legs, and cached
-// compiles renders byte-identically to the same sweep run cold —
-// including on sharded engines, where forks must restore shard-boundary
-// state exactly.
+// compiles renders byte-identically to the same sweep run cold.
 func TestWarmSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("warm equivalence renders a reduced fig12 sweep twice per shard count")
+		t.Skip("warm equivalence renders a reduced fig12 sweep twice")
 	}
 	benches := []*traffic.Profile{traffic.LULESH(), traffic.FMM()}
 	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
@@ -165,19 +162,12 @@ func TestWarmSweepByteIdentical(t *testing.T) {
 		RenderFig12(&buf, res, kernels)
 		return buf.Bytes()
 	}
-	for _, shards := range []int{0, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			if shards != 0 {
-				withShards(t, shards)
-			}
-			cold := render(t)
-			SetWarmSweeps(true)
-			t.Cleanup(func() { SetWarmSweeps(false) })
-			warm := render(t)
-			if !bytes.Equal(cold, warm) {
-				t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
-			}
-		})
+	cold := render(t)
+	SetWarmSweeps(true)
+	t.Cleanup(func() { SetWarmSweeps(false) })
+	warm := render(t)
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
 	}
 }
 

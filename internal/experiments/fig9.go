@@ -64,7 +64,7 @@ func RunFig9(dims KernelDims, cpuCfg cpu.CPUConfig) (*Fig9Result, error) {
 		row.InputTokens = prog.InputTokens()
 
 		eng := sim.NewEngine()
-		plat, err := core.NewStandalone(eng, 4, 4, true, platformCfg())
+		plat, err := core.NewStandalone(eng, 4, 4, true, core.DefaultPlatformConfig())
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"snacknoc/internal/cpu"
+	"snacknoc/internal/traffic"
 )
 
 // TestForEachCoversAllIndices: every index runs exactly once at any
@@ -87,5 +91,32 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			}
 		}
 		t.Fatal("RunFig2 at -j 1 and -j 4 produced different results")
+	}
+}
+
+// TestParallelCoRunSliceByteIdentical renders a small Fig 12 slice (CMP
+// cores, cache hierarchy, DRAM and CPM/RCU kernels on one mesh, priority
+// off and on) at one and two workers and requires byte-equal output.
+// It stays enabled under -short, so the ci.sh race pass drives two
+// concurrent co-run simulations through the full platform stack: any
+// state shared between simulations (a pool, a memo, a package global)
+// shows up there as a race or here as a diff.
+func TestParallelCoRunSliceByteIdentical(t *testing.T) {
+	benches := []*traffic.Profile{traffic.FMM()}
+	kernels := []cpu.KernelName{cpu.KernelReduction}
+	render := func(workers int) []byte {
+		SetWorkers(workers)
+		res, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.02), []bool{false, true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		RenderFig12(&buf, res, kernels)
+		return buf.Bytes()
+	}
+	defer SetWorkers(0)
+	serial := render(1)
+	if parallel := render(2); !bytes.Equal(parallel, serial) {
+		t.Fatalf("-j 2 co-run slice diverged from -j 1:\n-j 1:\n%s\n-j 2:\n%s", serial, parallel)
 	}
 }

@@ -13,7 +13,7 @@ import (
 type ProfileSpec struct {
 	CPU   string
 	Mem   string
-	Block string // goroutine blocking (shard-barrier waits, channel ops)
+	Block string // goroutine blocking (sweep-worker and pool waits, channel ops)
 	Mutex string // contended mutex holders
 }
 

@@ -55,7 +55,6 @@ type BenchRun struct {
 // RunBenchmark executes one Table III benchmark to completion on the
 // given NoC configuration and collects the paper's measurements.
 func RunBenchmark(cfg *noc.Config, prof *traffic.Profile, scale Scale) (*BenchRun, error) {
-	cfg = applyShards(cfg)
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {
@@ -281,7 +280,7 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 
 		// Leg 2: kernel alone at zero load.
 		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, platformCfg())
+		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, core.DefaultPlatformConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +324,6 @@ type legResult struct {
 // runCoRunLeg runs the benchmark, optionally with kernels resubmitted
 // continually. When prog is non-nil, kernel stats accumulate into out.
 func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRunResult, label string) (*legResult, error) {
-	cfg = applyShards(cfg)
 	eng := sim.NewEngine()
 	net, err := noc.New(eng, cfg)
 	if err != nil {

@@ -117,11 +117,10 @@ func resetWarmState() {
 
 // warmKey identifies one baseline (leg 1) platform group.
 type warmKey struct {
-	bench  string
-	w, h   int
-	pri    bool
-	shards int
-	scale  Scale
+	bench string
+	w, h  int
+	pri   bool
+	scale Scale
 }
 
 // warmBase is a built baseline simulation: the platform every fork of
@@ -149,7 +148,7 @@ var warmGroups sync.Map // warmKey -> *warmGroup
 func warmBaselineLeg(spec CoRunSpec) (*legResult, error) {
 	key := warmKey{
 		bench: spec.Bench.Name, w: spec.Width, h: spec.Height,
-		pri: spec.Priority, shards: Shards(), scale: spec.Scale,
+		pri: spec.Priority, scale: spec.Scale,
 	}
 	gi, _ := warmGroups.LoadOrStore(key, &warmGroup{})
 	g := gi.(*warmGroup)
@@ -174,9 +173,8 @@ func warmBaselineLeg(spec CoRunSpec) (*legResult, error) {
 // build constructs the group's platform (the same way the cold leg
 // does), runs it to the warmup boundary, and checkpoints it.
 func (g *warmGroup) build(spec CoRunSpec) error {
-	cfg := applyShards(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority))
 	eng := sim.NewEngine()
-	net, err := noc.New(eng, cfg)
+	net, err := noc.New(eng, noc.SnackPlatform(spec.Width, spec.Height, spec.Priority))
 	if err != nil {
 		return err
 	}
@@ -204,7 +202,6 @@ type zeroKey struct {
 	dims   KernelDims
 	w, h   int
 	pri    bool
-	shards int
 }
 
 // zeroEntry memoizes one zero-load run.
@@ -220,13 +217,13 @@ var zeroCache sync.Map // zeroKey -> *zeroEntry
 func warmZeroLoad(spec CoRunSpec, prog *core.Program) (int64, error) {
 	key := zeroKey{
 		kernel: spec.Kernel, dims: spec.Dims, w: spec.Width, h: spec.Height,
-		pri: spec.Priority, shards: Shards(),
+		pri: spec.Priority,
 	}
 	ei, _ := zeroCache.LoadOrStore(key, &zeroEntry{})
 	e := ei.(*zeroEntry)
 	e.once.Do(func() {
 		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, platformCfg())
+		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, core.DefaultPlatformConfig())
 		if err != nil {
 			e.err = err
 			return

@@ -84,13 +84,12 @@ func (f *Flit) String() string {
 }
 
 // flitPool recycles Flit objects and flitization scratch slices within
-// one shard of a network (the whole network when unsharded). Each shard
-// runs on at most one goroutine at a time, so a plain free-list needs no
-// locking and — unlike sync.Pool — is fully deterministic. A flit that
-// crosses a shard boundary retires into the destination shard's pool;
-// put fully zeroes the flit, so the migration is unobservable. Flits are
-// returned when they leave the network: consumed by a compute unit,
-// drained into the CPM overflow path, or reassembled at an ejection NI.
+// one network. A network runs on one goroutine at a time, so a plain
+// free-list needs no locking and — unlike sync.Pool — is fully
+// deterministic; put fully zeroes the flit, so recycling is
+// unobservable. Flits are returned when they leave the network: consumed
+// by a compute unit, drained into the CPM overflow path, or reassembled
+// at an ejection NI.
 type flitPool struct {
 	flits  []*Flit
 	slices [][]*Flit

@@ -16,66 +16,30 @@ type Network struct {
 	routers []*Router
 	nis     []*NI
 	loop    *LoopRoute
-	// pools recycle flits per shard (one pool for the whole network when
-	// unsharded). Each shard lives on exactly one goroutine at a time, so
-	// the free-lists are lock-free; flits migrating between shards are
-	// fully zeroed on release, keeping recycling deterministic and
-	// unobservable.
-	pools []flitPool
-
-	// root is the engine handed to New; engs[s] is the engine driving
-	// shard s (engs[0] == root when unsharded) and shardOf maps a node to
-	// its shard (column slices: shard = x*Shards/Width).
-	root    *sim.Engine
-	engs    []*sim.Engine
-	shardOf []int
-
-	// flitB/credB are the cross-shard wire boundaries in construction
-	// order, drained by the barrier hook between cycles.
-	flitB []boundary[*Flit]
-	credB []boundary[creditMsg]
+	// pool recycles the flits of every router, NI and compute port.
+	pool flitPool
 }
 
 // New constructs the mesh described by cfg and registers every router and
-// network interface with the engine (partitioning it into cfg.Shards
-// sub-engines first when sharding is requested).
+// network interface with the engine.
 func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, root: eng}
+	n := &Network{cfg: cfg}
 	nodes := cfg.Nodes()
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	n.engs = eng.Partition(shards)
-	n.pools = make([]flitPool, shards)
-	n.shardOf = make([]int, nodes)
-	for i := 0; i < nodes; i++ {
-		x, _ := cfg.XY(NodeID(i))
-		n.shardOf[i] = x * shards / cfg.Width
-	}
 	n.routers = make([]*Router, nodes)
 	n.nis = make([]*NI, nodes)
 	for i := 0; i < nodes; i++ {
 		n.routers[i] = newRouter(NodeID(i), cfg)
-		n.routers[i].pool = &n.pools[n.shardOf[i]]
-		n.nis[i] = newNI(NodeID(i), cfg, &n.pools[n.shardOf[i]])
+		n.routers[i].pool = &n.pool
+		n.nis[i] = newNI(NodeID(i), cfg, &n.pool)
 	}
 
 	// Mesh links: for each adjacent pair, create the downstream input
-	// port first, then mirror it at the upstream output. A link whose
-	// endpoints live on different shards gets stub wires interposed on
-	// both writer sides (flits downstream, credits back upstream) so no
-	// shard ever touches another shard's wires mid-cycle.
+	// port first, then mirror it at the upstream output.
 	link := func(up *Router, dir Direction, down *Router, rdir Direction) {
-		in := down.addInput(rdir, false)
-		up.addOutput(dir, in, false)
-		if n.shardOf[up.id] != n.shardOf[down.id] {
-			n.flitB = append(n.flitB, interpose(&up.outputs[dir].out))
-			n.credB = append(n.credB, interpose(&in.credit))
-		}
+		up.addOutput(dir, down.addInput(rdir, false), false)
 	}
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
@@ -116,34 +80,11 @@ func New(eng *sim.Engine, cfg *Config) (*Network, error) {
 	}
 
 	for i := 0; i < nodes; i++ {
-		se := n.engs[n.shardOf[i]]
 		n.routers[i].finalize()
-		n.routers[i].setHandle(se.Register(n.routers[i]))
-		n.nis[i].setHandle(se.Register(n.nis[i]))
-	}
-	if shards > 1 {
-		eng.AtBarrier(n.exchange)
+		n.routers[i].setHandle(eng.Register(n.routers[i]))
+		n.nis[i].setHandle(eng.Register(n.nis[i]))
 	}
 	return n, nil
-}
-
-// exchange drains every cross-shard boundary — flits first, then the
-// credits flowing back — in construction order. It runs serially at the
-// per-cycle barrier, after all shard goroutines have finished the cycle.
-func (n *Network) exchange(int64) {
-	for i := range n.flitB {
-		n.flitB[i].drain()
-	}
-	for i := range n.credB {
-		n.credB[i].drain()
-	}
-}
-
-// EngFor returns the sub-engine driving the given node's shard. Components
-// co-located with a node (caches, cores, compute units) must register on
-// this engine so they evaluate on the same goroutine as the node's router.
-func (n *Network) EngFor(id NodeID) *sim.Engine {
-	return n.engs[n.shardOf[id]]
 }
 
 // Cfg returns the network configuration.
@@ -176,7 +117,7 @@ func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
 	p := &InjectPort{
 		node:     id,
 		vnet:     n.cfg.SnackVNet,
-		pool:     &n.pools[n.shardOf[id]],
+		pool:     &n.pool,
 		out:      in.in,
 		creditIn: in.credit,
 		credits:  make([]int, n.cfg.VNets[n.cfg.SnackVNet].VCs),
@@ -191,9 +132,9 @@ func (n *Network) AttachCompute(id NodeID, cu ComputeUnit) *InjectPort {
 // in its Evaluate phase; the packet enters the network on a later cycle.
 //
 // Packet IDs are allocated per source node (node tag in the high half, a
-// local sequence number in the low), so the IDs a simulation assigns do not
-// depend on the global interleaving of injections — a requirement for
-// sharded runs to be byte-identical to serial ones.
+// local sequence number in the low), so an ID names its source and is
+// unique network-wide without a shared counter. The IDs key each NI's
+// reassembly table and appear in traces and checkpoints.
 func (n *Network) Inject(p *Packet, cycle int64) {
 	if p.Src < 0 || int(p.Src) >= len(n.nis) {
 		panic(fmt.Sprintf("noc: inject from invalid node %d", p.Src))
@@ -234,15 +175,7 @@ func (n *Network) EnableSampling(interval int64) {
 // SetTracer installs the lifecycle-event tracer on every router and
 // network interface (nil removes it). Tracing must be configured before
 // the run whose events are wanted; it does not alter simulated behavior.
-//
-// A tracer is shared mutable state, so on a sharded network installing one
-// drops the shard phase to serial execution (the decomposition and barrier
-// protocol — and hence the simulated behavior — are unchanged; only the
-// goroutine fan-out is suppressed).
 func (n *Network) SetTracer(t *trace.Tracer) {
-	if len(n.engs) > 1 {
-		n.root.SetSerialShards(t != nil)
-	}
 	for _, r := range n.routers {
 		r.SetTracer(t)
 	}
@@ -252,10 +185,7 @@ func (n *Network) SetTracer(t *trace.Tracer) {
 }
 
 // SetAttrib attaches one cycle-attribution slab per router and NI from
-// rec (nil rec yields nil slabs, the disabled state). Unlike a tracer
-// the slabs are component-owned, so sharded execution stays parallel:
-// each shard writes only its own components' counters, and the step
-// barrier orders those writes before the root reads them.
+// rec (nil rec yields nil slabs, the disabled state).
 func (n *Network) SetAttrib(rec *attrib.Recorder) {
 	for _, r := range n.routers {
 		r.SetAttrib(rec.NewCounters(attrib.KindRouter, r.Name()))

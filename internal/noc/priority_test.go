@@ -25,7 +25,7 @@ func runContention(t *testing.T, priority bool) (comm, snack int) {
 	}
 	port := net.Router(1).inputs[Compute]
 	inj := &InjectPort{
-		node: 1, vnet: cfg.SnackVNet, pool: &net.pools[net.shardOf[1]],
+		node: 1, vnet: cfg.SnackVNet, pool: &net.pool,
 		out: port.in, creditIn: port.credit,
 		credits: make([]int, cfg.VNets[cfg.SnackVNet].VCs),
 	}

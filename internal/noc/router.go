@@ -129,7 +129,7 @@ type Router struct {
 	compute ComputeUnit
 	drainer LoopDrainer // compute's drain hook, cached off the hot path
 	loop    *LoopRoute
-	pool    *flitPool // shard-local flit free-list (nil in bare unit tests)
+	pool    *flitPool // network flit free-list (nil in bare unit tests)
 
 	// vcs is the flat input-VC table (see inputVC); bufSlab backs every
 	// VC's ring queue. Built by finalize.

@@ -21,10 +21,8 @@ import (
 // tokens and RCU/CPM bookkeeping survives the copy.
 //
 // Snapshots must be taken at a settled point — between engine runs, when
-// every staged output has been committed by Advance and, on a sharded
-// network, the boundary stubs have been drained by the barrier. The
-// snapshot asserts these invariants rather than trying to save
-// mid-cycle transients.
+// every staged output has been committed by Advance. The snapshot asserts
+// this rather than trying to save mid-cycle transients.
 
 // NetworkState is a saved network.
 type NetworkState struct {
@@ -162,16 +160,6 @@ func (n *Network) wireWalk(fw func(*wire[*Flit]), cw func(*wire[creditMsg])) {
 func (n *Network) SnapshotState(clone func(any) any) *NetworkState {
 	if clone == nil {
 		clone = identityClone
-	}
-	for i := range n.flitB {
-		if n.flitB[i].stub.pending() != 0 {
-			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
-		}
-	}
-	for i := range n.credB {
-		if n.credB[i].stub.pending() != 0 {
-			panic("noc: SnapshotState with undrained shard boundary (snapshot only between cycles)")
-		}
 	}
 	s := &NetworkState{}
 	n.wireWalk(func(w *wire[*Flit]) {
@@ -467,33 +455,24 @@ func (d *SnackALODetector) Restore(s SnackALOState) {
 type SyntheticInjectorState struct {
 	RNG      uint64
 	Injected int64
-	Sinks    []SynSinkState
-}
-
-// SynSinkState is one node sink's saved latency statistics.
-type SynSinkState struct {
+	// Received, LatSum and LatMax are the sink's latency statistics.
 	Received, LatSum, LatMax int64
 	Hist                     stats.HistogramState
 }
 
-// State captures the injector and its per-node sinks.
+// State captures the injector and its sink.
 func (s *SyntheticInjector) State() SyntheticInjectorState {
-	st := SyntheticInjectorState{RNG: s.rng, Injected: s.injected}
-	for _, sk := range s.sinks {
-		st.Sinks = append(st.Sinks, SynSinkState{
-			Received: sk.received, LatSum: sk.latSum, LatMax: sk.latMax, Hist: sk.hist.State(),
-		})
+	sk := &s.sink
+	return SyntheticInjectorState{
+		RNG: s.rng, Injected: s.injected,
+		Received: sk.received, LatSum: sk.latSum, LatMax: sk.latMax, Hist: sk.hist.State(),
 	}
-	return st
 }
 
 // Restore writes a saved state back.
 func (s *SyntheticInjector) Restore(st SyntheticInjectorState) {
 	s.rng, s.injected = st.RNG, st.Injected
-	for i, sk := range s.sinks {
-		sk.received = st.Sinks[i].Received
-		sk.latSum = st.Sinks[i].LatSum
-		sk.latMax = st.Sinks[i].LatMax
-		sk.hist.Restore(st.Sinks[i].Hist)
-	}
+	sk := &s.sink
+	sk.received, sk.latSum, sk.latMax = st.Received, st.LatSum, st.LatMax
+	sk.hist.Restore(st.Hist)
 }

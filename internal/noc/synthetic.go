@@ -81,10 +81,10 @@ type SyntheticInjector struct {
 
 	rng      uint64
 	injected int64
-	sinks    []*synSink
+	sink     synSink
 }
 
-// NewSyntheticInjector attaches sinks at every node and returns the
+// NewSyntheticInjector attaches its sink at every node and returns the
 // injector (register it with the engine to start traffic).
 func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes, vnet int, seed uint64) *SyntheticInjector {
 	inj := &SyntheticInjector{
@@ -94,19 +94,15 @@ func NewSyntheticInjector(net *Network, pattern Pattern, rate float64, sizeBytes
 		SizeBytes: sizeBytes,
 		vnet:      vnet,
 		rng:       seed*0x9E3779B97F4A7C15 + 1,
+		sink:      synSink{hist: stats.NewHistogram(500, 50)},
 	}
-	// One sink per node: on a sharded network, deliveries at different
-	// nodes run on different shard goroutines, so the latency statistics
-	// accumulate per node and aggregate only on read.
-	inj.sinks = make([]*synSink, net.Cfg().Nodes())
 	for i := 0; i < net.Cfg().Nodes(); i++ {
-		inj.sinks[i] = &synSink{hist: stats.NewHistogram(500, 50)}
-		net.AttachClient(NodeID(i), inj.sinks[i])
+		net.AttachClient(NodeID(i), &inj.sink)
 	}
 	return inj
 }
 
-// synSink records delivered-packet latency at one node.
+// synSink records delivered-packet latency across all nodes.
 type synSink struct {
 	received int64
 	latSum   int64
@@ -154,37 +150,18 @@ func (s *SyntheticInjector) Advance(int64) {}
 func (s *SyntheticInjector) Injected() int64 { return s.injected }
 
 // Received returns the packets delivered so far.
-func (s *SyntheticInjector) Received() int64 {
-	var n int64
-	for _, sk := range s.sinks {
-		n += sk.received
-	}
-	return n
-}
+func (s *SyntheticInjector) Received() int64 { return s.sink.received }
 
 // AvgLatency returns mean delivered-packet latency in cycles.
 func (s *SyntheticInjector) AvgLatency() float64 {
-	var sum, n int64
-	for _, sk := range s.sinks {
-		sum += sk.latSum
-		n += sk.received
-	}
-	if n == 0 {
+	if s.sink.received == 0 {
 		return 0
 	}
-	return float64(sum) / float64(n)
+	return float64(s.sink.latSum) / float64(s.sink.received)
 }
 
 // MaxLatency returns the worst delivered-packet latency.
-func (s *SyntheticInjector) MaxLatency() int64 {
-	var max int64
-	for _, sk := range s.sinks {
-		if sk.latMax > max {
-			max = sk.latMax
-		}
-	}
-	return max
-}
+func (s *SyntheticInjector) MaxLatency() int64 { return s.sink.latMax }
 
 // LoadPoint is one point of a load-latency curve.
 type LoadPoint struct {

@@ -66,46 +66,6 @@ func (w *wire[T]) drainReady(now int64, fn func(T)) {
 // pending returns the number of queued entries (ready or not).
 func (w *wire[T]) pending() int { return len(w.q) }
 
-// boundary interposes on a wire that crosses a shard boundary. The writer
-// is handed the stub — a wire with no waker, local to the writer's shard —
-// while the reader keeps the real wire and its wake handle. The barrier
-// hook drains every boundary serially between cycles, so neither the
-// slice append nor the reader-engine wake-up ever races a shard goroutine.
-//
-// Delivery order within one wire is preserved (stub entries append in push
-// order, with non-decreasing arrival cycles), and the relative drain order
-// of different boundaries is immaterial: distinct wires feed distinct
-// reader state, and a wake-up at the barrier lands on the same cycle as
-// the wake event the serial kernel would have scheduled — which is what
-// makes sharded execution byte-identical to serial (DESIGN.md §9).
-type boundary[T any] struct {
-	stub, real *wire[T]
-}
-
-// interpose replaces *slot (a wire the remote writer will push into) with
-// a fresh stub and returns the boundary pairing it with the real wire.
-func interpose[T any](slot **wire[T]) boundary[T] {
-	b := boundary[T]{stub: &wire[T]{}, real: *slot}
-	*slot = b.stub
-	return b
-}
-
-// drain moves every staged entry onto the real wire and fires the
-// reader's wake-up. Called only from the barrier hook.
-func (b *boundary[T]) drain() {
-	q := b.stub.q
-	if len(q) == 0 {
-		return
-	}
-	var zero wireEntry[T]
-	for i := range q {
-		b.real.q = append(b.real.q, q[i])
-		b.real.waker.WakeAt(q[i].arrive)
-		q[i] = zero
-	}
-	b.stub.q = q[:0]
-}
-
 // creditMsg returns one buffer slot of an input VC to the sender upstream.
 type creditMsg struct {
 	vnet int

@@ -18,7 +18,7 @@ import (
 // hold closures over the registered components, so the component set
 // (and registration order) is part of the snapshot's identity.
 
-// EngineState is a saved engine, including shard sub-engines.
+// EngineState is a saved engine.
 type EngineState struct {
 	cycle       int64
 	seq         int64
@@ -28,7 +28,6 @@ type EngineState struct {
 	activeIdx   []int
 	events      []eventSnap
 	attrib      attrib.CountersState
-	subs        []*EngineState
 }
 
 // compSnap is one component's sleep bookkeeping.
@@ -79,9 +78,6 @@ func (e *Engine) SnapshotState() *EngineState {
 	for _, ev := range e.wheel.overflow {
 		s.events = append(s.events, snapEvent(ev))
 	}
-	for _, sub := range e.subs {
-		s.subs = append(s.subs, sub.SnapshotState())
-	}
 	return s
 }
 
@@ -99,9 +95,6 @@ func (e *Engine) RestoreState(s *EngineState) {
 	if len(s.comps) != len(e.comps) {
 		panic(fmt.Sprintf("sim: RestoreState component count %d, snapshot has %d",
 			len(e.comps), len(s.comps)))
-	}
-	if len(s.subs) != len(e.subs) {
-		panic("sim: RestoreState shard count mismatch")
 	}
 	e.cycle = s.cycle
 	e.seq = s.seq
@@ -146,7 +139,4 @@ func (e *Engine) RestoreState(s *EngineState) {
 		e.wheel.schedule(e.cycle, ev)
 	}
 	e.at.Restore(s.attrib)
-	for i, sub := range e.subs {
-		sub.RestoreState(s.subs[i])
-	}
 }

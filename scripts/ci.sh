@@ -1,7 +1,7 @@
 #!/bin/sh
-# Tier-1 gate: formatting, vet, build, full test suite, and race-
-# detector passes over the concurrent sweep runner and the sharded
-# simulation kernel. Run from the repo root.
+# Tier-1 gate: formatting, vet, build, full test suite, a race-detector
+# pass over the concurrent sweep runner and the DSE platform pool, and
+# the benchmark module's vet and tests. Run from the repo root.
 #
 # Usage: scripts/ci.sh [-heavy]
 #   -heavy additionally regenerates the fig12/fig13 full sweeps (minutes
@@ -39,16 +39,19 @@ go test ./...
 
 # The race pass uses -short so the full-scale figure regenerations (which
 # the plain pass above already ran) are not repeated at the race
-# detector's ~10x slowdown. It covers the two concurrent subsystems: the
-# parallel sweep runner (traced parallel-sweep test ignores -short) and
-# the sharded simulation kernel (the shard determinism tests in sim, noc,
-# and the sharded co-run in experiments drive shard goroutines through
-# the full platform stack). core and cache ride along for the pooled
-# token/message paths: their pools are engine-local by design, and the
-# sharded co-run legs under race verify no pool is touched cross-shard.
-# checkpoint rides along for the platform pool: the DSE invariance test
-# in experiments drives pooled forks from 4 workers, and the pool's own
-# tests cover the Get/Release/Seal paths.
+# detector's ~10x slowdown. A simulation runs on one goroutine; what is
+# concurrent is the sweep runner executing independent simulations side
+# by side, and the checkpoint pool handing platforms between workers.
+# The pass covers both through experiments:
+#   - the parallel co-run slice test renders a Fig 12 slice at 1 and 2
+#     workers, driving CMP cores, caches, DRAM and CPM/RCU kernels in
+#     two concurrent simulations (so a pool, memo or global shared
+#     between simulations shows up as a race);
+#   - the traced parallel-sweep test runs a traced, metrics-collecting
+#     sweep on 4 workers (it ignores -short);
+#   - the DSE invariance test drives pooled forks from 4 workers.
+# noc, sim, core, cache and checkpoint ride along for their own unit
+# tests, including the pool's Get/Release/Seal paths.
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
 
@@ -86,7 +89,14 @@ fi
 # when no correctness test exercises the perf-only code.
 echo "== benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkEngineSchedule' -benchtime 1x ./internal/sim
-go test -run '^$' -bench 'BenchmarkRouterEvaluate|BenchmarkBoundaryExchange|BenchmarkShardBarrier' -benchtime 1x ./internal/noc
+go test -run '^$' -bench 'BenchmarkRouterEvaluate' -benchtime 1x ./internal/noc
+
+# Benchmark module: perfbench/ is a nested Go module, so the root vet,
+# build and test steps above never compile it. Vet and test it here so an
+# API change that breaks the benchmark fails the gate, not the benchmark
+# run.
+echo "== perfbench: go vet + go test (nested module) =="
+(cd perfbench && go vet ./... && go test ./...)
 
 # Observability smoke: trace, attribute, and snapshot a tiny
 # deterministic kernel run, validate the trace-event JSON, and diff the
