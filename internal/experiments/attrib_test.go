@@ -162,15 +162,19 @@ func runAttributedKernel(t *testing.T, k cpu.KernelName, dims KernelDims) (map[s
 }
 
 // TestAttribSumsToCycles is the acceptance-criteria invariant: every
-// per-cycle component's reasons sum to the total simulated cycles.
+// per-cycle component's reasons sum to the total simulated cycles. The
+// subtest keeps its historical name: every run is one engine, i.e. one
+// shard.
 func TestAttribSumsToCycles(t *testing.T) {
-	values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
-	if cycles <= 0 {
-		t.Fatal("no simulated cycles")
-	}
-	if err := attrib.CheckTotals(values, cycles); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("shards=1", func(t *testing.T) {
+		values, cycles := runAttributedKernel(t, cpu.KernelSGEMM, DefaultKernelDims())
+		if cycles <= 0 {
+			t.Fatal("no simulated cycles")
+		}
+		if err := attrib.CheckTotals(values, cycles); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestScopeSGEMMGolden pins cmd/snackscope's SGEMM report against the
