@@ -318,9 +318,16 @@ func BenchmarkAblationSharedMemChannel(b *testing.B) {
 	}
 }
 
+// checkpointCycles is how far buildCheckpointSim runs the platform
+// before the checkpoint benchmarks snapshot it. BenchmarkCheckpointSave,
+// Restore and Fork all measure the platform at this cycle, and the
+// scripts/ci.sh BenchmarkCheckpointFork guard compares against figures
+// recorded at it.
+const checkpointCycles = 8192
+
 // buildCheckpointSim constructs the full co-run platform the checkpoint
 // benchmarks operate on — mesh, caches, cores, and RCU/CPM with a
-// kernel mid-flight — warmed to the sweep checkpoint boundary.
+// kernel mid-flight — run to checkpointCycles.
 func buildCheckpointSim(b *testing.B) checkpoint.Target {
 	b.Helper()
 	eng := sim.NewEngine()
@@ -348,11 +355,11 @@ func buildCheckpointSim(b *testing.B) checkpoint.Target {
 	eng.ScheduleAfter(1, func() {
 		plat.CPM.Submit(prog, eng.Cycle(), func(*core.Result) {})
 	})
-	eng.Run(experiments.WarmupCycles)
+	eng.Run(checkpointCycles)
 	return checkpoint.Target{Eng: eng, Net: net, Sys: sys, Work: w, Plat: plat}
 }
 
-// BenchmarkCheckpointSave measures one deep snapshot of a warmed
+// BenchmarkCheckpointSave measures one deep snapshot of a running
 // platform (every layer: engine, NoC, caches, cores, RCUs/CPM).
 func BenchmarkCheckpointSave(b *testing.B) {
 	tgt := buildCheckpointSim(b)
@@ -376,7 +383,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 }
 
 // BenchmarkPlatformBuild measures constructing the baseline platform
-// from scratch — the work a warm-sweep fork skips (before warmup).
+// from scratch — the work a pooled fork skips.
 func BenchmarkPlatformBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -397,7 +404,7 @@ func BenchmarkPlatformBuild(b *testing.B) {
 }
 
 // BenchmarkCheckpointFork measures the pooled steady-state cell path on
-// the warmed co-run platform: Get + Fork (one arena-backed Restore
+// the running co-run platform: Get + Fork (one arena-backed Restore
 // walk) + Release. The BENCH_8-era per-cell cost this replaces is
 // PlatformBuild + CheckpointSave + CheckpointRestore — build plus the
 // double-clone rule's two deep copies.
@@ -448,19 +455,18 @@ func BenchmarkDSECell(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepColdVsWarm runs the same reduced Fig 12 slice cold and
-// warm; the ns/op ratio is the headline warm-sweep win recorded in
-// EXPERIMENTS.md. Both sub-benchmarks start each iteration with empty
-// caches, so warm measures one full sweep including its first cold
-// cells.
-func BenchmarkSweepColdVsWarm(b *testing.B) {
-	// Serial workers so ns/op measures simulation work, not how well
-	// the worker pool hides the redundancy warm mode removes.
+// BenchmarkFig12Slice runs a reduced Fig 12 sweep end to end on one
+// worker, so ns/op counts every simulated leg: each distinct baseline
+// and zero-load leg once (the sweep's leg memo) plus one co-run leg per
+// cell. Compile caches are reset per iteration.
+func BenchmarkFig12Slice(b *testing.B) {
 	experiments.SetWorkers(1)
 	defer experiments.SetWorkers(0)
 	benches := []*traffic.Profile{traffic.CoMD(), traffic.Radix()}
 	kernels := []cpu.KernelName{cpu.KernelSGEMM, cpu.KernelSPMV}
-	sweep := func(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		experiments.ResetCompileCache()
 		res, err := experiments.RunFig12(benches, kernels,
 			experiments.DefaultKernelDims(), benchScale, []bool{true})
 		if err != nil {
@@ -468,23 +474,6 @@ func BenchmarkSweepColdVsWarm(b *testing.B) {
 		}
 		b.ReportMetric(res.MaxImpact(true), "max-impact-%")
 	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			experiments.ResetCompileCache()
-			sweep(b)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		b.ReportAllocs()
-		defer experiments.SetWarmSweeps(false)
-		for i := 0; i < b.N; i++ {
-			experiments.SetWarmSweeps(false) // drop the previous iteration's platforms
-			experiments.ResetCompileCache()
-			experiments.SetWarmSweeps(true)
-			sweep(b)
-		}
-	})
 }
 
 // BenchmarkNoCSaturation measures raw simulator throughput on a loaded

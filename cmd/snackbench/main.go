@@ -31,7 +31,6 @@ func main() {
 	benchList := flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 16)")
 	priority := flag.Bool("priority", true, "priority arbitration for co-run experiments")
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	warm := flag.Bool("warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across sweep cells (byte-identical output, faster fig12/fig13; ignored while -trace/-metrics are active)")
 	printWorkers := flag.Bool("print-workers", false, "print the resolved sweep worker count and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -44,7 +43,6 @@ func main() {
 	attribInterval := flag.Int64("attrib-interval", 0, "with -attrib, sample windowed per-reason deltas every N cycles (exported as attrib.series.* and as trace counter tracks)")
 	flag.Parse()
 	experiments.SetWorkers(*jobs)
-	experiments.SetWarmSweeps(*warm)
 	if *printWorkers {
 		fmt.Println(experiments.Workers())
 		return

@@ -36,7 +36,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "benchmark instruction-budget scale")
 	priority := flag.Bool("priority", true, "priority arbitration (snack runs)")
 	jobs := flag.Int("j", 0, "parallel sweep workers (0 = all CPUs, 1 = serial)")
-	warm := flag.Bool("warm-sweeps", false, "fork checkpointed baseline platforms and memoize zero-load legs across co-run cells (byte-identical output; ignored while -trace/-metrics are active)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file on exit (sweep-worker and pool waits)")
@@ -48,7 +47,6 @@ func main() {
 	attribInterval := flag.Int64("attrib-interval", 0, "with -attrib, sample windowed per-reason deltas every N cycles (exported as attrib.series.* and as trace counter tracks)")
 	flag.Parse()
 	experiments.SetWorkers(*jobs)
-	experiments.SetWarmSweeps(*warm)
 	if *traceLast > 0 && *tracePath == "" {
 		fatalf("-trace-last requires -trace")
 	}

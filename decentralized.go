@@ -110,9 +110,11 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 	}
 
 	// Submit the first kernel of every job; chain the rest on completion.
+	// A CPM that refuses a submission stops the engine and fails the call.
 	done := 0
-	var submit func(j *job)
-	submit = func(j *job) {
+	var busyErr error
+	var submit func(i int, j *job)
+	submit = func(i int, j *job) {
 		k := j.next
 		if !j.cpm.Submit(j.prog[k], p.eng.Cycle(), func(r *core.Result) {
 			j.results = append(j.results, r)
@@ -120,16 +122,20 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 			j.stats.Graphs++
 			j.next++
 			if j.next < len(j.prog) {
-				p.eng.ScheduleAfter(1, func() { submit(j) })
+				p.eng.ScheduleAfter(1, func() { submit(i, j) })
 			} else {
 				done++
 			}
 		}) {
-			panic("snacknoc: CPM busy at submission")
+			busyErr = fmt.Errorf("snacknoc: context %d: CPM busy at submission of kernel %d (cycle %d)", i, k, p.eng.Cycle())
+			p.eng.Stop()
 		}
 	}
-	for _, j := range jobs {
-		submit(j)
+	for i, j := range jobs {
+		submit(i, j)
+		if busyErr != nil {
+			return nil, busyErr
+		}
 	}
 	var budget int64
 	for _, j := range jobs {
@@ -137,7 +143,11 @@ func (p *DecentralizedPlatform) ExecuteConcurrent(ctxs ...*Context) ([]*Stats, e
 			budget += int64(len(pr.Entries))*400 + 2_000_000
 		}
 	}
-	if _, ok := p.eng.RunUntil(func() bool { return done == len(jobs) }, budget); !ok {
+	_, ok := p.eng.RunUntil(func() bool { return done == len(jobs) }, budget)
+	if busyErr != nil {
+		return nil, busyErr
+	}
+	if !ok {
 		return nil, fmt.Errorf("snacknoc: concurrent execution did not complete")
 	}
 

@@ -11,15 +11,14 @@
 // pending events hold closures over the live components, so the
 // component graph is part of a snapshot's identity. A State is
 // immutable once taken (every Restore deep-copies out of it again), so
-// one warmed snapshot forks any number of runs; that is what the warm
-// sweep modes of the figure drivers build on. Forks of one snapshot
-// share a platform and therefore serialize.
+// one warmed snapshot forks any number of runs; that is what the DSE
+// driver's platform pool (Pool) builds on. Forks of one snapshot share
+// a platform and therefore serialize.
 //
 // What is deliberately NOT captured: free pools (flit, packet, event
 // and transaction pools are unobservable — a pooled object is zeroed
-// before reuse), tracers and metrics registries (warm sweeps fall back
-// to cold runs when observability is on), and the immutable
-// configuration and wiring.
+// before reuse), tracers and metrics registries (observability is
+// attached per run), and the immutable configuration and wiring.
 package checkpoint
 
 import (

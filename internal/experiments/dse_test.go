@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"snacknoc/internal/cpu"
-	"snacknoc/internal/traffic"
 )
 
 // dseTestConfig is the tiny 3×2×2 grid shared by the golden test and
@@ -164,27 +163,5 @@ func TestParetoFrontierProperties(t *testing.T) {
 				t.Fatalf("seed %d: frontier membership of cell %d changed under permutation", seed, i)
 			}
 		}
-	}
-}
-
-// TestWarmSweepStateDrains pins the memo-growth fix: warmed baseline
-// platforms and zero-load memos are scoped to the sweep that created
-// them, so nothing survives the sweep's return — two distinct figure
-// sweeps in one process no longer accumulate each other's platforms.
-func TestWarmSweepStateDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a reduced warm fig12 sweep")
-	}
-	SetWarmSweeps(true)
-	t.Cleanup(func() { SetWarmSweeps(false) })
-	benches := []*traffic.Profile{traffic.LULESH()}
-	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	if _, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{true}); err != nil {
-		t.Fatal(err)
-	}
-	// Warm mode is still ON — the drain must come from the sweep scope
-	// closing, not from SetWarmSweeps(false).
-	if g, z := warmStateSize(); g != 0 || z != 0 {
-		t.Fatalf("warm state after sweep: %d groups, %d zero-load memos; want a full drain", g, z)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"testing"
 
 	"snacknoc/internal/cpu"
@@ -144,35 +145,92 @@ func TestFig12RegenerationByteIdentical(t *testing.T) {
 	compareArtifact(t, "../../results/fig12.txt", buf.Bytes())
 }
 
-// TestWarmSweepByteIdentical pins the warm-sweep guarantee: a sweep run
-// with checkpoint-forked baselines, memoized zero-load legs, and cached
-// compiles renders byte-identically to the same sweep run cold. The
-// subtest keeps its historical name for the default (single-engine)
-// configuration.
-func TestWarmSweepByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("warm equivalence renders a reduced fig12 sweep twice")
+// legMemoSlice is the reduced Fig 12 sweep the leg-memo tests run: 2
+// apps × 2 kernels × priority off/on, so every baseline leg is shared by
+// two kernels and every zero-load leg by two apps.
+func legMemoSlice() ([]*traffic.Profile, []cpu.KernelName, []bool) {
+	return []*traffic.Profile{traffic.LULESH(), traffic.FMM()},
+		[]cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction},
+		[]bool{false, true}
+}
+
+const legMemoScale = Scale(0.02)
+
+// TestFig12LegMemoByteIdentical pins the leg memo's guarantee: a sweep
+// whose cells share baseline and zero-load legs renders byte-identically
+// to the same cells assembled from independent RunCoRun calls, which
+// share nothing. It runs under -short at two workers, so the ci.sh race
+// pass covers the memo's sharing between concurrent cells.
+func TestFig12LegMemoByteIdentical(t *testing.T) {
+	benches, kernels, modes := legMemoSlice()
+	defer SetWorkers(0)
+	SetWorkers(2)
+	swept, err := RunFig12(benches, kernels, DefaultKernelDims(), legMemoScale, modes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	benches := []*traffic.Profile{traffic.LULESH(), traffic.FMM()}
-	kernels := []cpu.KernelName{cpu.KernelMAC, cpu.KernelReduction}
-	render := func(t *testing.T) []byte {
-		res, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.05), []bool{false, true})
+	// The same cells, each an independent RunCoRun (no shared memo).
+	nk := len(kernels) * len(modes)
+	cells := make([]Fig12Cell, len(benches)*nk)
+	if err := forEach(len(cells), func(i int) error {
+		k, pri := kernels[i%nk/len(modes)], modes[i%len(modes)]
+		r, err := RunCoRun(CoRunSpec{
+			Bench: benches[i/nk], Kernel: k, Dims: DefaultKernelDims(),
+			Width: 4, Height: 4, Priority: pri, Scale: legMemoScale,
+		})
 		if err != nil {
+			return err
+		}
+		cells[i] = Fig12Cell{
+			Kernel: k, Priority: pri, ImpactPct: r.ImpactPct(),
+			KernelSlowdownPct: r.KernelSlowdownPct(),
+			KernelRuns:        r.KernelRuns, Offloaded: r.Offloaded,
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	alone := &Fig12Result{}
+	for bi, b := range benches {
+		alone.Rows = append(alone.Rows, Fig12Row{Benchmark: b.Name, Cells: cells[bi*nk : (bi+1)*nk]})
+	}
+	var want, got bytes.Buffer
+	RenderFig12(&want, alone, kernels)
+	RenderFig12(&got, swept, kernels)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("memoized sweep diverged from independent co-runs:\nindependent:\n%s\nsweep:\n%s", want.Bytes(), got.Bytes())
+	}
+	if !reflect.DeepEqual(swept.Rows, alone.Rows) {
+		t.Fatal("memoized sweep cells differ from independent co-runs beyond the rendered columns")
+	}
+}
+
+// TestFig12LegMemoCounts pins how many legs the slice actually
+// simulates. A broken memo key would stay byte-identical and silently
+// slow; this catches it. A plain sweep runs each distinct baseline
+// (app, priority) and zero-load (kernel, priority) leg once; a
+// metrics-on sweep runs all three legs in every cell.
+func TestFig12LegMemoCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the leg-memo slice twice")
+	}
+	benches, kernels, modes := legMemoSlice()
+	sweep := func(t *testing.T) [3]int64 {
+		t.Helper()
+		var legs legCounts
+		if _, err := runFig12(benches, kernels, DefaultKernelDims(), legMemoScale, modes, &legs); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		RenderFig12(&buf, res, kernels)
-		return buf.Bytes()
+		return [3]int64{legs[legBase].Load(), legs[legZero].Load(), legs[legCoRun].Load()}
 	}
-	t.Run("shards=0", func(t *testing.T) {
-		cold := render(t)
-		SetWarmSweeps(true)
-		t.Cleanup(func() { SetWarmSweeps(false) })
-		warm := render(t)
-		if !bytes.Equal(cold, warm) {
-			t.Fatalf("warm sweep diverged from cold sweep:\ncold:\n%s\nwarm:\n%s", cold, warm)
-		}
-	})
+	if got, want := sweep(t), [3]int64{4, 4, 8}; got != want {
+		t.Errorf("plain sweep ran %v base/zero/co-run legs, want %v", got, want)
+	}
+	defer DisableObservability()
+	EnableMetrics()
+	if got, want := sweep(t), [3]int64{8, 8, 8}; got != want {
+		t.Errorf("metrics-on sweep ran %v base/zero/co-run legs, want %v", got, want)
+	}
 }
 
 func TestFig13RegenerationByteIdentical(t *testing.T) {

@@ -40,11 +40,16 @@ type Fig12Result struct {
 // full paper matrix is 16 benchmarks × 4 kernels × 2 arbitration modes;
 // every benchmark × kernel × mode co-run is an independent simulation,
 // so the flattened matrix runs on the sweep worker pool and the rows
-// (and the Fig 11 pick) are assembled afterwards in serial order.
+// (and the Fig 11 pick) are assembled afterwards in serial order. The
+// cells share one leg memo, so each baseline and zero-load leg runs
+// once per sweep (see legMemo).
 func RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims KernelDims, scale Scale, priorityModes []bool) (*Fig12Result, error) {
-	// Warm-sweep memos (baseline forks, zero-load legs) are scoped to
-	// this sweep: shared across its cells, dropped when it returns.
-	defer beginSweepScope()()
+	return runFig12(benchmarks, kernels, dims, scale, priorityModes, nil)
+}
+
+// runFig12 is RunFig12 tallying the legs it simulates into legs.
+func runFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims KernelDims, scale Scale, priorityModes []bool, legs *legCounts) (*Fig12Result, error) {
+	memo := newSweepMemo()
 	np := len(priorityModes)
 	nk := len(kernels) * np
 	cells := make([]*CoRunResult, len(benchmarks)*nk)
@@ -56,7 +61,7 @@ func RunFig12(benchmarks []*traffic.Profile, kernels []cpu.KernelName, dims Kern
 			Bench: prof, Kernel: k, Dims: dims,
 			Width: 4, Height: 4, Priority: pri, Scale: scale,
 		}
-		r, err := RunCoRun(spec)
+		r, err := runCoRun(spec, memo, legs)
 		if err != nil {
 			return fmt.Errorf("fig12 %s × %s (pri=%v): %w", prof.Name, k, pri, err)
 		}
@@ -137,9 +142,10 @@ func Fig13Meshes() [][2]int {
 }
 
 // RunFig13 reproduces Fig 13 for the given benchmarks. The mesh ×
-// benchmark cells run on the sweep worker pool.
+// benchmark cells run on the sweep worker pool and share one leg memo
+// (each mesh's zero-load SGEMM leg runs once).
 func RunFig13(benchmarks []*traffic.Profile, dims KernelDims, scale Scale) (*Fig13Result, error) {
-	defer beginSweepScope()()
+	memo := newSweepMemo()
 	meshes := Fig13Meshes()
 	nb := len(benchmarks)
 	points := make([]Fig13Point, len(meshes)*nb)
@@ -153,7 +159,7 @@ func RunFig13(benchmarks []*traffic.Profile, dims KernelDims, scale Scale) (*Fig
 			Bench: prof, Kernel: cpu.KernelSGEMM, Dims: dims,
 			Width: mesh[0], Height: mesh[1], Priority: true, Scale: s,
 		}
-		r, err := RunCoRun(spec)
+		r, err := runCoRun(spec, memo, nil)
 		if err != nil {
 			return fmt.Errorf("fig13 %s at %d nodes: %w", prof.Name, nodes, err)
 		}

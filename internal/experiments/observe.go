@@ -51,8 +51,9 @@ func EnableMetrics() {
 // EnableAttribution turns on cycle attribution for subsequent runs.
 // interval > 0 additionally samples windowed per-reason deltas every
 // interval cycles (exported as attrib.series.* time series and, when
-// tracing is also on, as Perfetto counter tracks). Attribution disables
-// warm sweep reuse — see warmActive.
+// tracing is also on, as Perfetto counter tracks). Like tracing and
+// metrics, attribution turns off sweep leg sharing (see newSweepMemo):
+// every co-run cell runs and counts its own baseline and zero-load legs.
 func EnableAttribution(interval int64) {
 	obsMu.Lock()
 	defer obsMu.Unlock()

@@ -97,13 +97,15 @@ func TestParallelSweepDeterminism(t *testing.T) {
 // TestParallelCoRunSliceByteIdentical renders a small Fig 12 slice (CMP
 // cores, cache hierarchy, DRAM and CPM/RCU kernels on one mesh, priority
 // off and on) at one and two workers and requires byte-equal output.
-// It stays enabled under -short, so the ci.sh race pass drives two
-// concurrent co-run simulations through the full platform stack: any
-// state shared between simulations (a pool, a memo, a package global)
-// shows up there as a race or here as a diff.
+// Two kernels share each baseline leg, so at two workers the cells also
+// hand memoized legs between goroutines. It stays enabled under -short,
+// so the ci.sh race pass drives two concurrent co-run simulations
+// through the full platform stack: any state shared between simulations
+// (a pool, the leg memo, a package global) shows up there as a race or
+// here as a diff.
 func TestParallelCoRunSliceByteIdentical(t *testing.T) {
 	benches := []*traffic.Profile{traffic.FMM()}
-	kernels := []cpu.KernelName{cpu.KernelReduction}
+	kernels := []cpu.KernelName{cpu.KernelReduction, cpu.KernelMAC}
 	render := func(workers int) []byte {
 		SetWorkers(workers)
 		res, err := RunFig12(benches, kernels, DefaultKernelDims(), Scale(0.02), []bool{false, true})

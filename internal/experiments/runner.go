@@ -234,10 +234,12 @@ func (r *CoRunResult) KernelSlowdownPct() float64 {
 // RunCoRun executes the full interference experiment: the benchmark
 // alone, the kernel alone at zero load, and the two together.
 func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
-	// Each co-run participates in a warm-memo scope: nested inside a
-	// sweep driver's scope the memos outlive the cell (that is the warm
-	// win), standalone they are dropped on return instead of leaking.
-	defer beginSweepScope()()
+	return runCoRun(spec, nil, nil)
+}
+
+// runCoRun is RunCoRun taking legs 1 and 2 from a sweep's memo (nil:
+// run all three) and tallying the legs it simulates into legs.
+func runCoRun(spec CoRunSpec, memo *legMemo, legs *legCounts) (*CoRunResult, error) {
 	if spec.Width == 0 {
 		spec.Width, spec.Height = 4, 4
 	}
@@ -253,58 +255,28 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 	}
 	cell += fmt.Sprintf("@%dx%d", spec.Width, spec.Height)
 
-	// Legs 1 and 2 repeat identically across many sweep cells; in warm
-	// mode leg 1 forks a checkpointed baseline platform and leg 2 is
-	// memoized (see warm.go). Leg 3 genuinely differs per cell and
-	// always runs cold.
-	if warmActive() {
-		base, err := warmBaselineLeg(spec)
-		if err != nil {
-			return nil, err
-		}
-		res.BaselineRuntime = base.runtime
-		zc, err := warmZeroLoad(spec, prog)
-		if err != nil {
-			return nil, err
-		}
-		res.ZeroLoadCycles = zc
-	} else {
-		// Leg 1: benchmark alone on the snack-capable NoC (RCUs present
-		// but idle), the Fig 12 baseline.
-		baseCfg := noc.SnackPlatform(spec.Width, spec.Height, spec.Priority)
-		base, err := runCoRunLeg(baseCfg, spec, nil, nil, cell+"/base")
-		if err != nil {
-			return nil, err
-		}
-		res.BaselineRuntime = base.runtime
+	// Leg 1: benchmark alone on the snack-capable NoC (RCUs present but
+	// idle), the Fig 12 baseline.
+	base, err := memo.baseline(spec, func() (*legResult, error) {
+		legs.ran(legBase)
+		return runCoRunLeg(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec, nil, nil, cell+"/base")
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.BaselineRuntime = base.runtime
 
-		// Leg 2: kernel alone at zero load.
-		zeroEng := sim.NewEngine()
-		zeroPlat, err := core.NewStandalone(zeroEng, spec.Width, spec.Height, spec.Priority, core.DefaultPlatformConfig())
-		if err != nil {
-			return nil, err
-		}
-		zeroTr := obsTracer(cell + "/zero")
-		zeroPlat.SetTracer(zeroTr)
-		zeroRec := obsRecorder()
-		zeroPlat.SetAttrib(zeroRec)
-		startAttribSampling(zeroRec, zeroEng, zeroTr)
-		zr, err := zeroPlat.Run(prog, 500_000_000)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
-		}
-		res.ZeroLoadCycles = zr.Cycles()
-		if obsMetricsOn() || zeroRec != nil {
-			reg := stats.NewRegistry()
-			zeroPlat.RegisterMetrics(reg)
-			registerCompileCacheMetrics(reg)
-			zeroRec.RegisterMetrics(reg)
-			registerTraceMetrics(reg, zeroTr)
-			obsRecord(reg.Snapshot(cell + "/zero"))
-		}
+	// Leg 2: kernel alone at zero load.
+	res.ZeroLoadCycles, err = memo.zeroLoad(spec, func() (int64, error) {
+		legs.ran(legZero)
+		return runZeroLoadLeg(spec, prog, cell+"/zero")
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Leg 3: co-run.
+	legs.ran(legCoRun)
 	co, err := runCoRunLeg(noc.SnackPlatform(spec.Width, spec.Height, spec.Priority), spec, prog, res, cell+"/corun")
 	if err != nil {
 		return nil, err
@@ -313,6 +285,34 @@ func RunCoRun(spec CoRunSpec) (*CoRunResult, error) {
 	res.XbarMedianPct = co.xbarMedian
 	res.XbarSeries = co.xbarSeries
 	return res, nil
+}
+
+// runZeroLoadLeg runs prog alone on an idle standalone platform and
+// returns its latency in cycles.
+func runZeroLoadLeg(spec CoRunSpec, prog *core.Program, label string) (int64, error) {
+	eng := sim.NewEngine()
+	plat, err := core.NewStandalone(eng, spec.Width, spec.Height, spec.Priority, core.DefaultPlatformConfig())
+	if err != nil {
+		return 0, err
+	}
+	tr := obsTracer(label)
+	plat.SetTracer(tr)
+	rec := obsRecorder()
+	plat.SetAttrib(rec)
+	startAttribSampling(rec, eng, tr)
+	zr, err := plat.Run(prog, 500_000_000)
+	if err != nil {
+		return 0, fmt.Errorf("experiments: zero-load %s: %w", spec.Kernel, err)
+	}
+	if obsMetricsOn() || rec != nil {
+		reg := stats.NewRegistry()
+		plat.RegisterMetrics(reg)
+		registerCompileCacheMetrics(reg)
+		rec.RegisterMetrics(reg)
+		registerTraceMetrics(reg, tr)
+		obsRecord(reg.Snapshot(label))
+	}
+	return zr.Cycles(), nil
 }
 
 type legResult struct {
@@ -342,6 +342,7 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 	}
 	rec := obsRecorder()
 	var plat *core.Platform
+	var busyErr error // set, with the engine stopped, if the CPM refuses a resubmission
 	if prog != nil {
 		plat, err = core.AttachToSystem(eng, sys, core.DefaultPlatformConfig())
 		if err != nil {
@@ -362,7 +363,8 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 			}
 			eng.ScheduleAfter(1, func() {
 				if !plat.CPM.Submit(prog, eng.Cycle(), resubmit) {
-					panic("experiments: CPM busy at resubmission")
+					busyErr = fmt.Errorf("experiments: %s: CPM busy at resubmission (cycle %d)", label, eng.Cycle())
+					eng.Stop()
 				}
 			})
 		}
@@ -375,7 +377,11 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 	}
 	sys.SetAttrib(rec)
 	startAttribSampling(rec, eng, tr)
-	if _, ok := cpu.Run(eng, w, 2_000_000_000); !ok {
+	_, ok := cpu.Run(eng, w, 2_000_000_000)
+	if busyErr != nil {
+		return nil, busyErr
+	}
+	if !ok {
 		return nil, fmt.Errorf("experiments: co-run %s did not complete", spec.Bench.Name)
 	}
 	if plat != nil {
@@ -398,13 +404,6 @@ func runCoRunLeg(cfg *noc.Config, spec CoRunSpec, prog *core.Program, out *CoRun
 		registerTraceMetrics(reg, tr)
 		obsRecord(reg.Snapshot(label))
 	}
-	return collectLegStats(net, w), nil
-}
-
-// collectLegStats reads one finished leg's measurements off the
-// platform. Both the cold path and warm forks end here, so the two
-// produce identical results from identical simulations.
-func collectLegStats(net *noc.Network, w *cpu.Workload) *legResult {
 	// Interference is measured on the mean per-core finish time; see
 	// cpu.Workload.MeanFinish for why the maximum is too noisy at
 	// reproduction scale.
@@ -417,5 +416,5 @@ func collectLegStats(net *noc.Network, w *cpu.Workload) *legResult {
 		medians = append(medians, med)
 	}
 	leg.xbarMedian = stats.Median(medians)
-	return leg
+	return leg, nil
 }

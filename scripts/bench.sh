@@ -70,30 +70,6 @@ if [ "$sweepscale" != "0" ]; then
     fi
 fi
 
-# Cold-vs-warm sweep: the same reduced fig12 slice (4 kernels x 2
-# priority modes per benchmark) run from scratch and with -warm-sweeps
-# (checkpoint-forked baselines + memoized zero-load legs + the compile
-# cache). Serial workers so the ratio measures work removed, not pool
-# scheduling. Output is byte-identical by construction (equivalence_test
-# pins it); only wall clock differs.
-warm_cold=0
-warm_warm=0
-warm_ran=false
-if [ "$sweepscale" != "0" ]; then
-    go build -o /tmp/snackbench.$$ ./cmd/snackbench
-    echo "== fig12 slice (CoMD,Radix), cold vs -warm-sweeps (-j 1, scale $sweepscale) ==" >&2
-    t0=$(date +%s.%N)
-    /tmp/snackbench.$$ -exp fig12 -benchmarks CoMD,Radix -scale "$sweepscale" -j 1 >/dev/null
-    t1=$(date +%s.%N)
-    /tmp/snackbench.$$ -exp fig12 -benchmarks CoMD,Radix -scale "$sweepscale" -j 1 -warm-sweeps >/dev/null
-    t2=$(date +%s.%N)
-    rm -f /tmp/snackbench.$$
-    warm_cold=$(awk "BEGIN{printf \"%.3f\", $t1-$t0}")
-    warm_warm=$(awk "BEGIN{printf \"%.3f\", $t2-$t1}")
-    warm_ran=true
-    echo "fig12 slice wall: cold ${warm_cold}s, warm ${warm_warm}s" >&2
-fi
-
 # DSE throughput: a deterministic pooled-fork grid through cmd/snackdse,
 # reported as cells/second — the sweep-scale figure of merit for design-
 # space exploration (256 legs at paper dims take minutes; the smoke dims
@@ -121,7 +97,6 @@ fi
 # file is given, append a before/after ns/op comparison per benchmark.
 awk -v sweep_j1="$sweep_j1" -v sweep_jn="$sweep_jn" -v ncpu="$ncpu" \
     -v workers="$workers" -v sweep_ran="$sweep_ran" -v baseline="$baseline" \
-    -v warm_cold="$warm_cold" -v warm_warm="$warm_warm" -v warm_ran="$warm_ran" \
     -v dse_cells="$dse_cells" -v dse_wall="$dse_wall" -v dse_ran="$dse_ran" \
     -v note="$note" \
     -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" '
@@ -176,14 +151,6 @@ END {
     } else {
         printf "  \"sweep\": {\"skipped\": true, \"reason\": \"single-CPU host\",\n"
         printf "    \"workers\": %s, \"cpus\": %s},\n", workers, ncpu
-    }
-    if (warm_ran == "true") {
-        printf "  \"warm_sweep\": {\"experiment\": \"fig12\", \"benchmarks\": [\"CoMD\", \"Radix\"],\n"
-        printf "    \"wall_s_cold\": %s, \"wall_s_warm\": %s,\n", warm_cold, warm_warm
-        wspeed = (warm_warm > 0) ? warm_cold / warm_warm : 0
-        printf "    \"speedup\": %.2f},\n", wspeed
-    } else {
-        printf "  \"warm_sweep\": {\"skipped\": true},\n"
     }
     if (dse_ran == "true") {
         printf "  \"dse\": {\"kernels\": [\"MAC\"], \"dims\": \"smoke\",\n"

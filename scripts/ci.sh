@@ -47,6 +47,10 @@ go test ./...
 #     workers, driving CMP cores, caches, DRAM and CPM/RCU kernels in
 #     two concurrent simulations (so a pool, memo or global shared
 #     between simulations shows up as a race);
+#   - the leg-memo test runs a 2-app x 2-kernel Fig 12 slice on 2
+#     workers whose cells share baseline and zero-load legs through the
+#     sweep's leg memo (its sync.Once entries hand results between
+#     goroutines);
 #   - the traced parallel-sweep test runs a traced, metrics-collecting
 #     sweep on 4 workers (it ignores -short);
 #   - the DSE invariance test drives pooled forks from 4 workers.
@@ -55,10 +59,10 @@ go test ./...
 echo "== go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint =="
 go test -race -short ./internal/experiments ./internal/noc ./internal/sim ./internal/core ./internal/cache ./internal/checkpoint
 
-# Checkpoint round-trip smoke: the warm-sweep machinery rests on fork
+# Checkpoint round-trip smoke: the DSE platform pool rests on fork
 # determinism (one snapshot restored repeatedly replays the identical
 # future). Run the property tests by name so a checkpoint regression is
-# called out as such rather than surfacing as a figure diff later. The
+# called out as such rather than surfacing as a DSE diff later. The
 # pool tests cover the pooled-fork contract the DSE driver rides on.
 echo "== checkpoint round-trip (fork determinism + pool) =="
 go test -run 'TestForkDeterminism|TestStandaloneRoundTrip|TestPool' -count=1 ./internal/checkpoint
