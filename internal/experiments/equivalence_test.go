@@ -156,53 +156,57 @@ func legMemoSlice() ([]*traffic.Profile, []cpu.KernelName, []bool) {
 
 const legMemoScale = Scale(0.02)
 
-// TestFig12LegMemoByteIdentical pins the leg memo's guarantee: a sweep
+// TestWarmSweepByteIdentical pins the leg memo's guarantee: a sweep
 // whose cells share baseline and zero-load legs renders byte-identically
 // to the same cells assembled from independent RunCoRun calls, which
 // share nothing. It runs under -short at two workers, so the ci.sh race
-// pass covers the memo's sharing between concurrent cells.
-func TestFig12LegMemoByteIdentical(t *testing.T) {
-	benches, kernels, modes := legMemoSlice()
-	defer SetWorkers(0)
-	SetWorkers(2)
-	swept, err := RunFig12(benches, kernels, DefaultKernelDims(), legMemoScale, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same cells, each an independent RunCoRun (no shared memo).
-	nk := len(kernels) * len(modes)
-	cells := make([]Fig12Cell, len(benches)*nk)
-	if err := forEach(len(cells), func(i int) error {
-		k, pri := kernels[i%nk/len(modes)], modes[i%len(modes)]
-		r, err := RunCoRun(CoRunSpec{
-			Bench: benches[i/nk], Kernel: k, Dims: DefaultKernelDims(),
-			Width: 4, Height: 4, Priority: pri, Scale: legMemoScale,
-		})
+// pass covers the memo's sharing between concurrent cells. The test and
+// its subtest keep their historical names from when the shared-leg
+// sweep was the opt-in warm sweep on one engine (one shard).
+func TestWarmSweepByteIdentical(t *testing.T) {
+	t.Run("shards=0", func(t *testing.T) {
+		benches, kernels, modes := legMemoSlice()
+		defer SetWorkers(0)
+		SetWorkers(2)
+		swept, err := RunFig12(benches, kernels, DefaultKernelDims(), legMemoScale, modes)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		cells[i] = Fig12Cell{
-			Kernel: k, Priority: pri, ImpactPct: r.ImpactPct(),
-			KernelSlowdownPct: r.KernelSlowdownPct(),
-			KernelRuns:        r.KernelRuns, Offloaded: r.Offloaded,
+		// The same cells, each an independent RunCoRun (no shared memo).
+		nk := len(kernels) * len(modes)
+		cells := make([]Fig12Cell, len(benches)*nk)
+		if err := forEach(len(cells), func(i int) error {
+			k, pri := kernels[i%nk/len(modes)], modes[i%len(modes)]
+			r, err := RunCoRun(CoRunSpec{
+				Bench: benches[i/nk], Kernel: k, Dims: DefaultKernelDims(),
+				Width: 4, Height: 4, Priority: pri, Scale: legMemoScale,
+			})
+			if err != nil {
+				return err
+			}
+			cells[i] = Fig12Cell{
+				Kernel: k, Priority: pri, ImpactPct: r.ImpactPct(),
+				KernelSlowdownPct: r.KernelSlowdownPct(),
+				KernelRuns:        r.KernelRuns, Offloaded: r.Offloaded,
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	alone := &Fig12Result{}
-	for bi, b := range benches {
-		alone.Rows = append(alone.Rows, Fig12Row{Benchmark: b.Name, Cells: cells[bi*nk : (bi+1)*nk]})
-	}
-	var want, got bytes.Buffer
-	RenderFig12(&want, alone, kernels)
-	RenderFig12(&got, swept, kernels)
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("memoized sweep diverged from independent co-runs:\nindependent:\n%s\nsweep:\n%s", want.Bytes(), got.Bytes())
-	}
-	if !reflect.DeepEqual(swept.Rows, alone.Rows) {
-		t.Fatal("memoized sweep cells differ from independent co-runs beyond the rendered columns")
-	}
+		alone := &Fig12Result{}
+		for bi, b := range benches {
+			alone.Rows = append(alone.Rows, Fig12Row{Benchmark: b.Name, Cells: cells[bi*nk : (bi+1)*nk]})
+		}
+		var want, got bytes.Buffer
+		RenderFig12(&want, alone, kernels)
+		RenderFig12(&got, swept, kernels)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("memoized sweep diverged from independent co-runs:\nindependent:\n%s\nsweep:\n%s", want.Bytes(), got.Bytes())
+		}
+		if !reflect.DeepEqual(swept.Rows, alone.Rows) {
+			t.Fatal("memoized sweep cells differ from independent co-runs beyond the rendered columns")
+		}
+	})
 }
 
 // TestFig12LegMemoCounts pins how many legs the slice actually
